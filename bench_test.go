@@ -557,14 +557,13 @@ func BenchmarkSessionAdmitProbe(b *testing.B) {
 	}
 }
 
-// benchServeAnalyze drives the full HTTP serving path — request decode,
-// batch dispatch, pooled response encode — with one 16-item /v1/analyze
-// batch per iteration, in the codec named by accept. This is the
-// serving-path number of BENCH_analyze.json and part of the lpdag-bench
-// regression gate: the response side must stay on the pooled
-// encoder, so allocs/op is effectively the per-batch serving overhead.
-func benchServeAnalyze(b *testing.B, accept string) {
-	b.Helper()
+// BenchmarkServeAnalyze drives the full HTTP serving path — request
+// decode, batch dispatch, pooled JSON response encode — with one
+// 16-item /v1/analyze batch per iteration. This is the serving-path
+// number of BENCH_analyze.json and part of the lpdag-bench regression
+// gate: the response side must stay on the pooled encoder, so
+// allocs/op is effectively the per-batch serving overhead.
+func BenchmarkServeAnalyze(b *testing.B) {
 	g := NewGenerator(77, PaperGenParams(GroupMixed))
 	var batch bytes.Buffer
 	batch.WriteString(`{"cores": 8, "method": "lp-ilp", "requests": [`)
@@ -584,17 +583,13 @@ func benchServeAnalyze(b *testing.B, accept string) {
 	e := engine.New(engine.Config{Workers: 4})
 	defer e.Close()
 	h := engine.NewServer(e, engine.ServerConfig{})
-	run := func() *httptest.ResponseRecorder {
+	run := func() {
 		req := httptest.NewRequest(http.MethodPost, "/v1/analyze", bytes.NewReader(body))
-		if accept != "" {
-			req.Header.Set("Accept", accept)
-		}
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
 		if w.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", w.Code, w.Body)
 		}
-		return w
 	}
 	run() // warm the engine's pooled analyzers and µ memos
 	b.ReportAllocs()
@@ -602,15 +597,6 @@ func benchServeAnalyze(b *testing.B, accept string) {
 	for i := 0; i < b.N; i++ {
 		run()
 	}
-}
-
-// BenchmarkServeAnalyze is the JSON serving path.
-func BenchmarkServeAnalyze(b *testing.B) { benchServeAnalyze(b, "") }
-
-// BenchmarkServeAnalyzeBinary is the same batch answered in the
-// length-prefixed binary framing (Accept: application/x-lpdag-bin).
-func BenchmarkServeAnalyzeBinary(b *testing.B) {
-	benchServeAnalyze(b, "application/x-lpdag-bin")
 }
 
 // sessionRepairBenchTasks is the 16-task session workload with a

@@ -82,7 +82,7 @@ type Trajectory struct {
 }
 
 // DefaultBench is the tracked benchmark set.
-const DefaultBench = "^(BenchmarkAnalyzePoint|BenchmarkCampaignThroughput|BenchmarkEngineUncachedSweep|BenchmarkEngineCachedSweep|BenchmarkSessionEdit|BenchmarkSessionEditDurable|BenchmarkSessionEditFullReanalysis|BenchmarkSessionAdmitProbe|BenchmarkSessionRepair|BenchmarkServeAnalyze|BenchmarkServeAnalyzeBinary)$"
+const DefaultBench = "^(BenchmarkAnalyzePoint|BenchmarkCampaignThroughput|BenchmarkEngineUncachedSweep|BenchmarkEngineCachedSweep|BenchmarkSessionEdit|BenchmarkSessionEditDurable|BenchmarkSessionEditFullReanalysis|BenchmarkSessionAdmitProbe|BenchmarkSessionRepair|BenchmarkServeAnalyze)$"
 
 // DefaultMaxCampaignAllocs is the standing allocation budget of the
 // serving data plane: BenchmarkCampaignThroughput (one full campaign —

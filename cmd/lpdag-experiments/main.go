@@ -83,7 +83,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		leaseTimeout = fs.Duration("lease-timeout", cluster.DefaultLeaseTimeout, "cluster shard lease: max stream silence before requeueing to another worker")
 		shardRetries = fs.Int("shard-retries", cluster.DefaultMaxShardRetries, "cluster shard lease: failure requeues per shard before the campaign fails")
 		maxLease     = fs.Int("max-lease-points", cluster.DefaultMaxShardPoints, "cluster shard lease: points per lease, at most the smallest -max-shard-points across the workers")
-		noBinary     = fs.Bool("no-binary", false, "cluster: force JSONL shard streams instead of the negotiated binary wire codec (output bytes are identical either way)")
 
 		soundness = fs.Bool("soundness", false, "run the simulation-vs-analysis soundness harness")
 		points    = fs.Int("points", 1000, "generated points for -soundness")
@@ -152,7 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			jsonlPath: *jsonlPath, csvPath: *csvPath, resume: *resume,
 			progress: *progress, cluster: *clusterHosts,
 			leaseTimeout: *leaseTimeout, shardRetries: *shardRetries,
-			maxLease: *maxLease, noBinary: *noBinary, obs: reg,
+			maxLease: *maxLease, obs: reg,
 		}, stdout, stderr)
 		if code != 0 {
 			return code
@@ -285,7 +284,6 @@ type campaignArgs struct {
 	leaseTimeout          time.Duration
 	shardRetries          int
 	maxLease              int
-	noBinary              bool
 	obs                   *obs.Registry
 }
 
@@ -378,7 +376,7 @@ func runCampaign(a campaignArgs, stdout, stderr io.Writer) int {
 		results, err = cluster.Run(cluster.Config{
 			Campaign: cfg, Workers: urls,
 			LeaseTimeout: a.leaseTimeout, MaxShardRetries: a.shardRetries,
-			Shards: a.shards, MaxLeasePoints: a.maxLease, DisableBinary: a.noBinary,
+			Shards: a.shards, MaxLeasePoints: a.maxLease,
 		}, opts)
 	} else {
 		results, err = experiments.RunCampaign(cfg, opts)

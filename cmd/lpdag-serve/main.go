@@ -22,10 +22,11 @@
 //	GET  /metrics      Prometheus text exposition: engine pool, cache,
 //	                   sessions, campaign/cluster, HTTP, analysis traces
 //
-// /v1/analyze, /v1/shard and the session endpoints answer in a compact
-// length-prefixed binary framing instead of JSON when the request
-// carries "Accept: application/x-lpdag-bin" (see internal/wire; error
-// responses stay JSON).
+// Every endpoint answers in JSON, with two exceptions: /v1/shard
+// streams compact length-prefixed binary frames instead of JSON lines
+// when the request carries "Accept: application/x-lpdag-bin" (see
+// internal/wire; errors stay JSON), and the session hand-off exchanges
+// binary snapshot frames between peers.
 //
 // Stateful what-if / admission-control sessions (each holds a task set
 // server-side and re-analyzes incrementally per edit; see DESIGN.md,

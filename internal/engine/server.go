@@ -14,11 +14,9 @@ package engine
 // 503, the caller's signal to back off — the engine's own queue already
 // provides backpressure per job).
 //
-// /v1/analyze and the session endpoints also speak a compact
-// length-prefixed binary response framing (see internal/wire and
-// server_bin.go), negotiated with "Accept: application/x-lpdag-bin".
-// Error responses stay JSON regardless, so failure handling is
-// codec-independent.
+// Every response body is JSON. The only binary bodies are the session
+// hand-off ('S' snapshot frames, see internal/wire) and the /v1/shard
+// stream a coordinator negotiates (internal/experiments/cluster).
 
 import (
 	"bytes"
@@ -36,7 +34,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/ring"
-	"repro/internal/wire"
 )
 
 // ServerConfig parameterises the HTTP handler.
@@ -257,9 +254,8 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // respBufPool holds the response-encode buffers shared by every
-// endpoint: one buffer serves a whole response (JSON document or binary
-// frame sequence), so the encode layer allocates O(1) per request in
-// steady state.
+// endpoint: one buffer serves a whole JSON document, so the encode
+// layer allocates O(1) per request in steady state.
 var respBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // writeJSON encodes v (indented, as this API has always rendered JSON)
@@ -282,15 +278,9 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 		http.Error(w, fmt.Sprintf("response encoding failed: %v", err), http.StatusInternalServerError)
 		return
 	}
-	s.writeBody(w, status, "application/json", buf.Bytes())
-}
-
-// writeBody sends one fully encoded response body, counting write
-// failures in lpdag_http_write_errors_total.
-func (s *Server) writeBody(w http.ResponseWriter, status int, contentType string, body []byte) {
-	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if _, err := w.Write(body); err != nil {
+	if _, err := w.Write(buf.Bytes()); err != nil {
 		atomic.AddUint64(&s.writeErrs, 1)
 	}
 }
@@ -513,18 +503,6 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		results[slot] = reportJSON(reports[j])
-	}
-	if binaryAccepted(r) {
-		st := binBufPool.Get().(*binBuf)
-		defer binBufPool.Put(st)
-		frames := st.frames[:0]
-		for _, res := range results {
-			st.payload = appendAnalyzeResultBin(st.payload[:0], res)
-			frames = wire.AppendFrame(frames, wire.FrameResult, st.payload)
-		}
-		st.frames = frames
-		s.writeBody(w, http.StatusOK, wire.ContentType, frames)
-		return
 	}
 	s.writeJSON(w, http.StatusOK, analyzeResponse{Results: results})
 }

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,8 @@ import (
 	lpdag "repro"
 	"repro/internal/engine"
 	"repro/internal/fixture"
+	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // newTestServer returns the HTTP handler over a fresh engine.
@@ -432,4 +435,132 @@ func (g *gatedReader) Read([]byte) (int, error) {
 	g.once.Do(func() { close(g.started) })
 	<-g.release
 	return 0, fmt.Errorf("closed")
+}
+
+// failingWriter errors on every body write, as a closed client
+// connection would.
+type failingWriter struct {
+	http.ResponseWriter
+}
+
+func (f failingWriter) Write([]byte) (int, error) { return 0, errors.New("client went away") }
+
+// TestWriteErrorsCounted pins the lpdag_http_write_errors_total
+// counter: both encode failures and mid-body write failures count.
+func TestWriteErrorsCounted(t *testing.T) {
+	e := engine.New(engine.Config{Obs: obs.NewRegistry()})
+	t.Cleanup(e.Close)
+	s := engine.NewServer(e, engine.ServerConfig{})
+	writeErrs := func(want int) {
+		t.Helper()
+		w := get(t, s, "/metrics")
+		if w.Code != http.StatusOK {
+			t.Fatalf("/metrics status %d", w.Code)
+		}
+		line := fmt.Sprintf("lpdag_http_write_errors_total %d\n", want)
+		if !strings.Contains(w.Body.String(), line) {
+			t.Fatalf("/metrics missing %q:\n%s", line, w.Body)
+		}
+	}
+	writeErrs(0)
+
+	// Encode failure: channels are not JSON-serialisable.
+	w := httptest.NewRecorder()
+	s.WriteJSON(w, http.StatusOK, make(chan int))
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("encode failure status %d, want 500", w.Code)
+	}
+	writeErrs(1)
+
+	// Mid-body write failure, through a real handler.
+	s.ServeHTTP(failingWriter{httptest.NewRecorder()}, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	writeErrs(2)
+}
+
+// binaryAcceptTaskSet is unschedulable on two cores under LP-ILP (lo's
+// single 200-long NPR blocks hi past its deadline), so a repair has
+// work to do.
+const binaryAcceptTaskSet = `{"tasks":[
+	{"name":"hi","wcet":[5,5],"edges":[[0,1]],"deadline":25,"period":40},
+	{"name":"lo","wcet":[200],"edges":[],"deadline":900,"period":1000}
+]}`
+
+// TestBinaryAcceptServedAsJSON pins the answer to clients that still
+// ask for the retired binary response codec: on /v1/analyze and every
+// session endpoint that once had a binary form, "Accept:
+// application/x-lpdag-bin" gets application/json with the same status,
+// epoch header and body bytes as the request without that header.
+func TestBinaryAcceptServedAsJSON(t *testing.T) {
+	h := newTestServer(t, engine.Config{}, engine.ServerConfig{})
+	createBody := fmt.Sprintf(`{"cores": 2, "method": "lp-ilp", "taskset": %s}`, binaryAcceptTaskSet)
+	cases := []struct {
+		name, method, path, body string // "{id}" in path: a fresh session per request
+		status                   int
+	}{
+		{"analyze", http.MethodPost, "/v1/analyze", fmt.Sprintf(
+			`{"cores": 2, "requests": [{"taskset": %s}, {"taskset": %s, "method": "lp-max", "cores": 4}, {}]}`,
+			binaryAcceptTaskSet, binaryAcceptTaskSet), http.StatusOK},
+		{"create", http.MethodPost, "/v1/sessions", createBody, http.StatusCreated},
+		{"report", http.MethodGet, "/v1/sessions/{id}/report", "", http.StatusOK},
+		{"edits", http.MethodPost, "/v1/sessions/{id}/edits",
+			`{"edits": [{"op": "set_cores", "cores": 4}, {"op": "remove", "name": "hi"}]}`, http.StatusOK},
+		{"admit", http.MethodPost, "/v1/sessions/{id}/admit",
+			`{"task": {"name":"c","wcet":[1],"edges":[],"deadline":1000,"period":1000}}`, http.StatusOK},
+		{"repair", http.MethodPost, "/v1/sessions/{id}/repair", `{"seed": 7, "apply": true}`, http.StatusOK},
+		{"missing session", http.MethodGet, "/v1/sessions/no-such-id/report", "", http.StatusNotFound},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var replies [2]*httptest.ResponseRecorder
+			for i, accept := range []string{"", wire.ContentType} {
+				path := tc.path
+				if strings.Contains(path, "{id}") {
+					w := post(t, h, "/v1/sessions", createBody)
+					if w.Code != http.StatusCreated {
+						t.Fatalf("create: status %d: %s", w.Code, w.Body)
+					}
+					path = strings.Replace(path, "{id}", sessionID(t, w), 1)
+				}
+				req := httptest.NewRequest(tc.method, path, strings.NewReader(tc.body))
+				if accept != "" {
+					req.Header.Set("Accept", accept)
+				}
+				replies[i] = httptest.NewRecorder()
+				h.ServeHTTP(replies[i], req)
+			}
+			plain, bin := replies[0], replies[1]
+			if plain.Code != tc.status || bin.Code != tc.status {
+				t.Fatalf("status %d with binary Accept, %d without, want %d: %s",
+					bin.Code, plain.Code, tc.status, plain.Body)
+			}
+			if ct := bin.Header().Get("Content-Type"); ct != "application/json" {
+				t.Fatalf("Content-Type %q with binary Accept, want application/json", ct)
+			}
+			const epoch = "X-Lpdag-Session-Epoch"
+			if got, want := bin.Header().Get(epoch), plain.Header().Get(epoch); got != want {
+				t.Fatalf("%s %q with binary Accept, %q without", epoch, got, want)
+			}
+			pb, bb := plain.Body.Bytes(), bin.Body.Bytes()
+			if tc.name == "create" {
+				// Session ids are random; everything around them must match.
+				pb = bytes.ReplaceAll(pb, []byte(sessionID(t, plain)), []byte("ID"))
+				bb = bytes.ReplaceAll(bb, []byte(sessionID(t, bin)), []byte("ID"))
+			}
+			if !bytes.Equal(pb, bb) {
+				t.Fatalf("body with binary Accept:\n%s\nwithout:\n%s", bb, pb)
+			}
+		})
+	}
+}
+
+// sessionID returns the id of a create-session reply.
+func sessionID(t *testing.T, w *httptest.ResponseRecorder) string {
+	t.Helper()
+	var resp struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || resp.ID == "" {
+		t.Fatalf("create reply without id (%v): %s", err, w.Body)
+	}
+	return resp.ID
 }

@@ -130,13 +130,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.setSessionEpoch(w, id)
-	if binaryAccepted(r) {
-		s.writeFrame(w, http.StatusCreated, func(dst []byte) []byte {
-			dst = wire.AppendString(dst, id)
-			return appendAnalyzeResultBin(dst, reportJSON(v.(*core.Report)))
-		})
-		return
-	}
 	s.writeJSON(w, http.StatusCreated, map[string]any{"id": id, "report": reportJSON(v.(*core.Report))})
 }
 
@@ -154,12 +147,6 @@ func (s *Server) handleSessionReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.setSessionEpoch(w, id)
-	if binaryAccepted(r) {
-		s.writeFrame(w, http.StatusOK, func(dst []byte) []byte {
-			return appendAnalyzeResultBin(dst, reportJSON(v.(*core.Report)))
-		})
-		return
-	}
 	s.writeJSON(w, http.StatusOK, map[string]any{"report": reportJSON(v.(*core.Report))})
 }
 
@@ -282,12 +269,6 @@ func (s *Server) handleSessionEdits(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.setSessionEpoch(w, id)
-	if binaryAccepted(r) {
-		s.writeFrame(w, http.StatusOK, func(dst []byte) []byte {
-			return appendAnalyzeResultBin(dst, reportJSON(v.(*core.Report)))
-		})
-		return
-	}
 	s.writeJSON(w, http.StatusOK, map[string]any{"report": reportJSON(v.(*core.Report))})
 }
 
@@ -329,13 +310,6 @@ func (s *Server) handleSessionAdmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.setSessionEpoch(w, id)
 	rep := v.(*core.Report)
-	if binaryAccepted(r) {
-		s.writeFrame(w, http.StatusOK, func(dst []byte) []byte {
-			dst = appendBool(dst, rep.Schedulable)
-			return appendAnalyzeResultBin(dst, reportJSON(rep))
-		})
-		return
-	}
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"admitted": rep.Schedulable,
 		"report":   reportJSON(rep),
@@ -516,12 +490,6 @@ func (s *Server) handleSessionRepair(w http.ResponseWriter, r *http.Request) {
 	s.setSessionEpoch(w, id)
 	applied := req.Apply && res.Fixed && len(res.Transforms) > 0
 	out := repairResponseOf(res, applied)
-	if binaryAccepted(r) {
-		s.writeFrame(w, http.StatusOK, func(dst []byte) []byte {
-			return appendRepairResultBin(dst, out)
-		})
-		return
-	}
 	s.writeJSON(w, http.StatusOK, out)
 }
 

@@ -1,21 +1,16 @@
 package engine
 
 // Tests of POST /v1/sessions/{id}/repair: wire validation (the ppp
-// panic must be unreachable), the JSON/binary codec parity the PR 8
-// conventions require, determinism of the returned transform sequence,
-// and the apply flow.
+// panic must be unreachable), determinism of the returned transform
+// sequence, and the apply flow.
 
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/wire"
 )
 
 // repairTestTaskSet is the pinned unschedulable fixture: on two cores
@@ -24,6 +19,13 @@ const repairTestTaskSet = `{"tasks":[
 	{"name":"hi","wcet":[5,5],"edges":[[0,1]],"deadline":25,"period":40},
 	{"name":"lo","wcet":[200],"edges":[],"deadline":900,"period":1000}
 ]}`
+
+func repairTestServer(t *testing.T) *Server {
+	t.Helper()
+	e := New(Config{})
+	t.Cleanup(e.Close)
+	return NewServer(e, ServerConfig{})
+}
 
 func repairTestSession(t *testing.T, s *Server) string {
 	t.Helper()
@@ -46,26 +48,18 @@ func repairTestSession(t *testing.T, s *Server) string {
 	return resp.ID
 }
 
-func postRepair(t *testing.T, s *Server, id, body, accept string) *httptest.ResponseRecorder {
+func postRepair(t *testing.T, s *Server, id, body string) *httptest.ResponseRecorder {
 	t.Helper()
-	var rd io.Reader
-	if body != "" {
-		rd = strings.NewReader(body)
-	}
-	req := httptest.NewRequest(http.MethodPost, "/v1/sessions/"+id+"/repair", rd)
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
 	w := httptest.NewRecorder()
-	s.ServeHTTP(w, req)
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sessions/"+id+"/repair", strings.NewReader(body)))
 	return w
 }
 
 func TestSessionRepairHTTP(t *testing.T) {
-	s := binTestServer(t)
+	s := repairTestServer(t)
 	id := repairTestSession(t, s)
 
-	w := postRepair(t, s, id, `{"seed": 7}`, "")
+	w := postRepair(t, s, id, `{"seed": 7}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("repair status %d: %s", w.Code, w.Body)
 	}
@@ -84,7 +78,7 @@ func TestSessionRepairHTTP(t *testing.T) {
 	}
 
 	// Deterministic: the same query returns byte-identical JSON.
-	w2 := postRepair(t, s, id, `{"seed": 7}`, "")
+	w2 := postRepair(t, s, id, `{"seed": 7}`)
 	if w2.Code != http.StatusOK {
 		t.Fatalf("second repair status %d: %s", w2.Code, w2.Body)
 	}
@@ -106,59 +100,18 @@ func TestSessionRepairHTTP(t *testing.T) {
 	}
 }
 
-func TestSessionRepairBinaryMatchesJSON(t *testing.T) {
-	s := binTestServer(t)
-	id := repairTestSession(t, s)
-	body := `{"seed": 7, "max_steps": 3}`
-
-	jw := postRepair(t, s, id, body, "")
-	if jw.Code != http.StatusOK {
-		t.Fatalf("JSON status %d: %s", jw.Code, jw.Body)
-	}
-	var jresp repairResponse
-	if err := json.Unmarshal(jw.Body.Bytes(), &jresp); err != nil {
-		t.Fatal(err)
-	}
-
-	bw := postRepair(t, s, id, body, wire.ContentType)
-	if bw.Code != http.StatusOK {
-		t.Fatalf("binary status %d: %s", bw.Code, bw.Body)
-	}
-	if ct := bw.Header().Get("Content-Type"); ct != wire.ContentType {
-		t.Fatalf("Content-Type = %q, want %q", ct, wire.ContentType)
-	}
-	frames := decodeBinFrames(t, bw.Body)
-	if len(frames) != 1 {
-		t.Fatalf("%d frames, want 1", len(frames))
-	}
-	d := wire.NewDec(frames[0])
-	bresp, err := decodeRepairResultBin(d)
-	if err != nil || d.Rest() != 0 {
-		t.Fatalf("binary payload: err=%v rest=%d", err, d.Rest())
-	}
-	if !reflect.DeepEqual(jresp, bresp) {
-		t.Fatalf("binary result differs from JSON:\nJSON:   %+v\nbinary: %+v", jresp, bresp)
-	}
-
-	// The binary codec round-trips what the handler wrote.
-	re := appendRepairResultBin(nil, bresp)
-	if string(re) != string(frames[0]) {
-		t.Fatal("appendRepairResultBin(decode(payload)) != payload")
-	}
-}
-
 func TestSessionRepairApplyHTTP(t *testing.T) {
-	s := binTestServer(t)
+	s := repairTestServer(t)
 	id := repairTestSession(t, s)
 
 	// Epoch before: a pure query's header carries the current value.
-	q := postRepair(t, s, id, `{}`, "")
+	q := postRepair(t, s, id, `{}`)
 	var before uint64
 	if _, err := fmt.Sscan(q.Header().Get(sessionEpochHeader), &before); err != nil {
 		t.Fatalf("epoch header %q: %v", q.Header().Get(sessionEpochHeader), err)
 	}
 
-	w := postRepair(t, s, id, `{"apply": true}`, "")
+	w := postRepair(t, s, id, `{"apply": true}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("repair status %d: %s", w.Code, w.Body)
 	}
@@ -190,7 +143,7 @@ func TestSessionRepairApplyHTTP(t *testing.T) {
 // boundary with the invalid-field convention — in particular budgets
 // that would reach ppp.SplitNodes' maxNPR panic.
 func TestSessionRepairValidation(t *testing.T) {
-	s := binTestServer(t)
+	s := repairTestServer(t)
 	id := repairTestSession(t, s)
 	cases := []struct {
 		body string
@@ -206,7 +159,7 @@ func TestSessionRepairValidation(t *testing.T) {
 		{`{"bogus_field": 1}`, "unknown field"},
 	}
 	for _, tc := range cases {
-		w := postRepair(t, s, id, tc.body, "")
+		w := postRepair(t, s, id, tc.body)
 		if w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", tc.body, w.Code, w.Body)
 			continue
@@ -217,7 +170,7 @@ func TestSessionRepairValidation(t *testing.T) {
 	}
 
 	// Unknown session ids 404 like every session endpoint.
-	if w := postRepair(t, s, "nope", `{}`, ""); w.Code != http.StatusNotFound {
+	if w := postRepair(t, s, "nope", `{}`); w.Code != http.StatusNotFound {
 		t.Errorf("unknown id: status %d, want 404", w.Code)
 	}
 }
@@ -226,11 +179,11 @@ func TestSessionRepairValidation(t *testing.T) {
 // anytime contract, not an error — the response reports Stopped with
 // the best partial repair.
 func TestSessionRepairTimeoutBudget(t *testing.T) {
-	s := binTestServer(t)
+	s := repairTestServer(t)
 	id := repairTestSession(t, s)
 	// max_candidates rather than wall-clock would also stop it; use
 	// both so the test is immune to scheduler timing.
-	w := postRepair(t, s, id, `{"timeout_ms": 1, "max_candidates": 1}`, "")
+	w := postRepair(t, s, id, `{"timeout_ms": 1, "max_candidates": 1}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("repair status %d: %s", w.Code, w.Body)
 	}

@@ -80,12 +80,6 @@ type Config struct {
 	// Set it to the smallest -max-shard-points across the cluster —
 	// the shard count is raised as needed so no lease exceeds it.
 	MaxLeasePoints int
-	// DisableBinary forces JSONL shard streams. By default the
-	// coordinator asks each worker for the binary frame codec
-	// (Accept: application/x-lpdag-bin) and falls back per response
-	// Content-Type, so mixed-version clusters work either way; the
-	// codec never affects the merged output bytes.
-	DisableBinary bool
 }
 
 // Run executes the campaign across the cluster and returns the
@@ -376,9 +370,10 @@ func (c *coordinator) runShard(ctx context.Context, url string, lease Lease) err
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if !c.cfg.DisableBinary {
-		req.Header.Set("Accept", wire.ContentType+", application/x-ndjson")
-	}
+	// Ask for the binary frame codec; a worker that predates it answers
+	// JSONL, and the response Content-Type picks the decoder below. The
+	// codec never affects the merged output bytes.
+	req.Header.Set("Accept", wire.ContentType+", application/x-ndjson")
 	resp, err := c.cfg.Client.Do(req)
 	if err != nil {
 		return c.leaseErr(sctx, ctx, err)

@@ -389,8 +389,10 @@ func TestWorkerStreamMatchesLocalSubset(t *testing.T) {
 
 // binaryProbeWorker is a worker whose shard endpoint records the
 // response Content-Type of every lease, so tests can assert which
-// codec the negotiation actually picked.
-func binaryProbeWorker(t *testing.T) (*testWorker, func() []string) {
+// codec the negotiation actually picked. A jsonlOnly worker drops the
+// Accept header before its shard handler sees it, standing in for an
+// older worker that only speaks JSONL.
+func binaryProbeWorker(t *testing.T, jsonlOnly bool) (*testWorker, func() []string) {
 	t.Helper()
 	eng := engine.New(engine.Config{Workers: 2})
 	t.Cleanup(eng.Close)
@@ -402,6 +404,9 @@ func binaryProbeWorker(t *testing.T) (*testWorker, func() []string) {
 	)
 	mux := http.NewServeMux()
 	mux.Handle("/v1/shard", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if jsonlOnly {
+			r.Header.Del("Accept")
+		}
 		shard.ServeHTTP(w, r)
 		mu.Lock()
 		ctypes = append(ctypes, w.Header().Get("Content-Type"))
@@ -418,31 +423,32 @@ func binaryProbeWorker(t *testing.T) (*testWorker, func() []string) {
 }
 
 // TestClusterBinaryLeaseByteIdentical pins the codec negotiation end to
-// end: by default shards stream back as binary wire frames, with
-// Config.DisableBinary they stay JSONL, and either way the merged
-// JSONL/CSV output is byte-identical to a local JSON-only run.
+// end: a worker that understands the binary wire frames streams its
+// shards back in them, a JSONL-only worker answers JSONL, and the
+// coordinator decodes each lease by its Content-Type, so the merged
+// JSONL/CSV output is byte-identical to a local JSON-only run whether
+// the cluster is all binary, all JSONL, or mixed-version.
 func TestClusterBinaryLeaseByteIdentical(t *testing.T) {
 	cfg := e2eCampaign(t)
 	wantJSONL, wantCSV := runLocalReference(t, cfg)
 
 	for _, tc := range []struct {
-		name     string
-		disable  bool
-		wantType string
+		name                   string
+		jsonlOnly1, jsonlOnly2 bool
 	}{
-		{"binary", false, wire.ContentType},
-		{"jsonl-fallback", true, "application/x-ndjson"},
+		{"binary", false, false},
+		{"jsonl-fallback", true, true},
+		{"mixed-version", false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w1, types1 := binaryProbeWorker(t)
-			w2, types2 := binaryProbeWorker(t)
+			w1, types1 := binaryProbeWorker(t, tc.jsonlOnly1)
+			w2, types2 := binaryProbeWorker(t, tc.jsonlOnly2)
 			var jb, cb bytes.Buffer
 			results, err := Run(Config{
-				Campaign:      cfg,
-				Workers:       []string{w1.ts.URL, w2.ts.URL},
-				LeaseTimeout:  3 * time.Second,
-				Shards:        8,
-				DisableBinary: tc.disable,
+				Campaign:     cfg,
+				Workers:      []string{w1.ts.URL, w2.ts.URL},
+				LeaseTimeout: 3 * time.Second,
+				Shards:       8,
 			}, experiments.RunOptions{JSONL: &jb, CSV: &cb})
 			if err != nil {
 				t.Fatalf("cluster run: %v", err)
@@ -456,14 +462,27 @@ func TestClusterBinaryLeaseByteIdentical(t *testing.T) {
 			if !bytes.Equal(cb.Bytes(), wantCSV) {
 				t.Errorf("merged CSV differs from local run (%d vs %d bytes)", cb.Len(), len(wantCSV))
 			}
-			served := append(types1(), types2()...)
-			if len(served) == 0 {
-				t.Fatal("no shard leases recorded")
-			}
-			for _, ct := range served {
-				if ct != tc.wantType {
-					t.Fatalf("shard response Content-Type = %q, want %q", ct, tc.wantType)
+			leases := 0
+			for _, w := range []struct {
+				types     []string
+				jsonlOnly bool
+			}{{types1(), tc.jsonlOnly1}, {types2(), tc.jsonlOnly2}} {
+				want := wire.ContentType
+				if w.jsonlOnly {
+					want = "application/x-ndjson"
 				}
+				for _, ct := range w.types {
+					if ct != want {
+						t.Fatalf("shard response Content-Type = %q, want %q", ct, want)
+					}
+				}
+				if tc.jsonlOnly1 != tc.jsonlOnly2 && len(w.types) == 0 {
+					t.Fatal("mixed-version run left one worker without a lease")
+				}
+				leases += len(w.types)
+			}
+			if leases == 0 {
+				t.Fatal("no shard leases recorded")
 			}
 		})
 	}

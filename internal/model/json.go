@@ -24,17 +24,23 @@ type taskSetJSON struct {
 
 // MarshalJSON encodes the task as {name, wcet, edges, deadline, period}.
 func (t *Task) MarshalJSON() ([]byte, error) {
+	return json.Marshal(t.toJSON())
+}
+
+// toJSON is the interchange form of t; edges encode as [] rather than
+// null when the graph has none.
+func (t *Task) toJSON() taskJSON {
 	edges := t.G.Edges()
 	if edges == nil {
 		edges = [][2]int{}
 	}
-	return json.Marshal(taskJSON{
+	return taskJSON{
 		Name:     t.Name,
 		WCET:     t.G.WCETs(),
 		Edges:    edges,
 		Deadline: t.Deadline,
 		Period:   t.Period,
-	})
+	}
 }
 
 // UnmarshalJSON decodes and validates a task.
@@ -63,17 +69,9 @@ func (t *Task) UnmarshalJSON(data []byte) error {
 
 // MarshalJSON encodes the set with tasks in priority order.
 func (ts *TaskSet) MarshalJSON() ([]byte, error) {
-	out := taskSetJSON{Tasks: make([]taskJSON, 0, len(ts.Tasks))}
-	for _, t := range ts.Tasks {
-		raw, err := t.MarshalJSON()
-		if err != nil {
-			return nil, err
-		}
-		var tj taskJSON
-		if err := json.Unmarshal(raw, &tj); err != nil {
-			return nil, err
-		}
-		out.Tasks = append(out.Tasks, tj)
+	out := taskSetJSON{Tasks: make([]taskJSON, len(ts.Tasks))}
+	for i, t := range ts.Tasks {
+		out.Tasks[i] = t.toJSON()
 	}
 	return json.MarshalIndent(out, "", "  ")
 }

@@ -1,6 +1,7 @@
-// Package wire implements the compact length-prefixed binary framing the
-// serving endpoints negotiate next to JSON (content type
-// application/x-lpdag-bin).
+// Package wire implements the compact length-prefixed binary framing
+// (content type application/x-lpdag-bin) of the campaign shard stream,
+// which a coordinator negotiates next to JSON lines, and of the session
+// snapshots in the durable log and the drain hand-off.
 //
 // A stream is a sequence of frames, each a one-byte type tag followed by
 // a uvarint payload length and the payload bytes:
@@ -12,9 +13,9 @@
 //	                              records and the hand-off endpoint)
 //	'D' <uvarint len> <id>        session tombstone (durable store only)
 //
-// The payload encoding belongs to the endpoint (the campaign shard
-// stream carries binary PointResult records, the analyze and session
-// endpoints carry binary report records); this package only owns the
+// The payload encoding belongs to the producer (the campaign shard
+// stream carries binary PointResult records, the session store and
+// hand-off carry session snapshots); this package only owns the
 // envelope and the primitive field encodings those payloads share:
 // uvarint for non-negative integers, zigzag varint for signed ones,
 // length-prefixed UTF-8 for strings, and IEEE-754 bits as a fixed 8-byte
