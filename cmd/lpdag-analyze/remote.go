@@ -270,11 +270,7 @@ func (rs *remoteSession) edits(batch []map[string]any) error {
 }
 
 func (rs *remoteSession) AddTask(t *model.Task, at int) error {
-	raw, err := json.Marshal(t)
-	if err != nil {
-		return err
-	}
-	edit := map[string]any{"op": session.OpAdd, "task": json.RawMessage(raw)}
+	edit := map[string]any{"op": session.OpAdd, "task": t}
 	if at >= 0 {
 		edit["at"] = at
 	}
@@ -338,11 +334,7 @@ func (rs *remoteSession) Report(ctx context.Context) (*core.Report, error) {
 }
 
 func (rs *remoteSession) TryAdmit(ctx context.Context, t *model.Task, at int) (*core.Report, error) {
-	raw, err := json.Marshal(t)
-	if err != nil {
-		return nil, err
-	}
-	body := map[string]any{"task": json.RawMessage(raw)}
+	body := map[string]any{"task": t}
 	if at >= 0 {
 		body["at"] = at
 	}

@@ -10,7 +10,9 @@
 // parses the standard benchmark output, and condenses each benchmark to
 // its best (minimum) ns/op across the count repetitions with the
 // matching B/op and allocs/op — the benchstat-style "min damps noise"
-// reading, which suits the CI boxes these runs share.
+// reading, which suits the CI boxes these runs share. It also prints
+// min, median and max ns/op per benchmark, so the noise the minimum
+// hides stays visible.
 //
 // With -baseline it compares the fresh numbers against the LAST entry
 // of the baseline trajectory and exits 1 when, for any benchmark
@@ -51,10 +53,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"regexp"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -158,7 +162,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "%s", raw)
 
-	benches, err := ParseBenchOutput(strings.NewReader(string(raw)))
+	benches, runs, err := ParseBenchOutput(strings.NewReader(string(raw)))
 	if err != nil {
 		fmt.Fprintf(stderr, "lpdag-bench: %v\n", err)
 		return 1
@@ -167,6 +171,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "lpdag-bench: no benchmarks matched %q\n", *bench)
 		return 1
 	}
+	WriteSpread(stdout, runs)
 	entry := Entry{
 		Label:      *label,
 		Date:       time.Now().UTC().Format("2006-01-02"),
@@ -242,9 +247,11 @@ var benchLineRE = regexp.MustCompile(
 
 // ParseBenchOutput condenses benchmark output to the best (minimum)
 // ns/op per benchmark name across repetitions, keeping the memory
-// columns of the selected repetition.
-func ParseBenchOutput(r io.Reader) (map[string]Measurement, error) {
+// columns of the selected repetition. It also returns every
+// repetition's ns/op per name, for WriteSpread.
+func ParseBenchOutput(r io.Reader) (map[string]Measurement, map[string][]float64, error) {
 	out := make(map[string]Measurement)
+	runs := make(map[string][]float64)
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		m := benchLineRE.FindStringSubmatch(sc.Text())
@@ -254,7 +261,7 @@ func ParseBenchOutput(r io.Reader) (map[string]Measurement, error) {
 		name := strings.TrimPrefix(m[1], "Benchmark")
 		ns, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
-			return nil, fmt.Errorf("parse %q: %w", sc.Text(), err)
+			return nil, nil, fmt.Errorf("parse %q: %w", sc.Text(), err)
 		}
 		meas := Measurement{NsPerOp: ns}
 		if m[3] != "" {
@@ -265,11 +272,24 @@ func ParseBenchOutput(r io.Reader) (map[string]Measurement, error) {
 			a, _ := strconv.ParseFloat(m[4], 64)
 			meas.AllocsPerOp = int64(a)
 		}
+		runs[name] = append(runs[name], ns)
 		if prev, ok := out[name]; !ok || meas.NsPerOp < prev.NsPerOp {
 			out[name] = meas
 		}
 	}
-	return out, sc.Err()
+	return out, runs, sc.Err()
+}
+
+// WriteSpread prints min, median and max ns/op per benchmark, so the
+// noise behind the recorded minimum is visible.
+func WriteSpread(w io.Writer, runs map[string][]float64) {
+	fmt.Fprintln(w, "ns/op across repetitions (min is recorded):")
+	for _, name := range slices.Sorted(maps.Keys(runs)) {
+		ns := slices.Sorted(slices.Values(runs[name]))
+		n := len(ns)
+		fmt.Fprintf(w, "  %-28s min %12.1f  median %12.1f  max %12.1f  (n=%d)\n",
+			name, ns[0], (ns[(n-1)/2]+ns[n/2])/2, ns[n-1], n)
+	}
 }
 
 // inversionNsSlack is the multiplicative tolerance of the cache

@@ -19,7 +19,7 @@ ok  	repro	1.234s
 `
 
 func TestParseBenchOutput(t *testing.T) {
-	got, err := ParseBenchOutput(strings.NewReader(sample))
+	got, _, err := ParseBenchOutput(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,6 +37,22 @@ func TestParseBenchOutput(t *testing.T) {
 	}
 	if got["NoMem"].NsPerOp != 1234 {
 		t.Errorf("NoMem = %+v", got["NoMem"])
+	}
+}
+
+func TestWriteSpread(t *testing.T) {
+	_, runs, err := ParseBenchOutput(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	WriteSpread(&buf, runs)
+	// Two AnalyzePoint repetitions: the median is their mean.
+	if want := "min        710.5  median        830.2  max        950.0  (n=2)"; !strings.Contains(buf.String(), want) {
+		t.Errorf("spread lacks %q:\n%s", want, buf.String())
+	}
+	if !strings.Contains(buf.String(), "NoMem") {
+		t.Errorf("spread lacks NoMem:\n%s", buf.String())
 	}
 }
 

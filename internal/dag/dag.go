@@ -479,14 +479,21 @@ func (g *Graph) IsParallelMatrix() [][]bool {
 // Width returns the maximum number of nodes that can execute in parallel:
 // the maximum antichain of the precedence partial order. By Dilworth's
 // theorem this equals n minus the maximum matching of the bipartite graph
-// over the transitive closure, which is what this method computes
-// (Hopcroft-Karp-free augmenting paths; n is small in this domain).
+// over the transitive closure, which is what this method computes.
 func (g *Graph) Width() int {
+	_, _, matching := g.closureMatching()
+	return g.N() - matching
+}
+
+// closureMatching computes a maximum matching of the bipartite graph
+// whose left copy u links to right copy v iff u precedes v
+// (Hopcroft-Karp-free augmenting paths; n is small in this domain). It
+// returns both match arrays (-1 = unmatched) and the matching size.
+func (g *Graph) closureMatching() (matchL, matchR []int, size int) {
 	n := g.N()
 	reach := g.Reach()
-	// Bipartite graph: left copy u — right copy v iff u precedes v.
-	matchL := make([]int, n) // left u -> right v or -1
-	matchR := make([]int, n) // right v -> left u or -1
+	matchL = make([]int, n) // left u -> right v or -1
+	matchR = make([]int, n) // right v -> left u or -1
 	for i := range matchL {
 		matchL[i] = -1
 		matchR[i] = -1
@@ -509,14 +516,12 @@ func (g *Graph) Width() int {
 		})
 		return found
 	}
-	matching := 0
 	for u := 0; u < n; u++ {
-		seen := make([]bool, n)
-		if try(u, seen) {
-			matching++
+		if try(u, make([]bool, n)) {
+			size++
 		}
 	}
-	return n - matching
+	return matchL, matchR, size
 }
 
 // MaxAntichain returns one maximum antichain (a largest set of mutually
@@ -525,34 +530,7 @@ func (g *Graph) Width() int {
 func (g *Graph) MaxAntichain() []int {
 	n := g.N()
 	reach := g.Reach()
-	matchL := make([]int, n)
-	matchR := make([]int, n)
-	for i := range matchL {
-		matchL[i] = -1
-		matchR[i] = -1
-	}
-	var try func(u int, seen []bool) bool
-	try = func(u int, seen []bool) bool {
-		found := false
-		reach[u].ForEach(func(v int) bool {
-			if seen[v] {
-				return true
-			}
-			seen[v] = true
-			if matchR[v] == -1 || try(matchR[v], seen) {
-				matchL[u] = v
-				matchR[v] = u
-				found = true
-				return false
-			}
-			return true
-		})
-		return found
-	}
-	for u := 0; u < n; u++ {
-		seen := make([]bool, n)
-		try(u, seen)
-	}
+	matchL, matchR, _ := g.closureMatching()
 	// König: minimum vertex cover from unmatched-left alternating
 	// reachability; antichain = nodes not in the cover, mapped back.
 	visitedL := make([]bool, n)

@@ -49,6 +49,7 @@ func FuzzServeBodies(f *testing.F) {
 		{0, `{"bogus": 1}`},
 		{0, `{"requests": []}`},
 		{0, `{"requests": []}{}`},
+		{0, fmt.Sprintf(`{"cores": 4611686018427387904, "requests": [{"taskset": %s}]}`, fig1)},
 		{1, fmt.Sprintf(`{"cores": 4, "method": "lp-ilp", "taskset": %s}`, fig1)},
 		{1, `{"cores": 2}`},
 		{2, `{"edits": [{"op": "set_cores", "cores": 4}, {"op": "remove", "name": "hi"}]}`},

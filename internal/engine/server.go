@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -95,7 +96,20 @@ const (
 	// MaxGenUtilization and MaxGenTasks bound one generated task set.
 	MaxGenUtilization = 1024
 	MaxGenTasks       = 4096
+	// MaxCores bounds the core count of an analysis, simulation or
+	// session, all of which allocate per core (campaigns keep their
+	// tighter experiments.MaxCampaignCores).
+	MaxCores = 1024
 )
+
+// checkCores rejects a core count above MaxCores. Counts below 1 are
+// rejected by the analysis and the simulator before they allocate.
+func checkCores(m int) error {
+	if m > MaxCores {
+		return fmt.Errorf("cores %d exceeds limit %d", m, MaxCores)
+	}
+	return nil
+}
 
 // Server dispatches HTTP requests onto an Engine. Beyond being the
 // http.Handler for the engine endpoints it carries the node's worker
@@ -289,22 +303,39 @@ func (s *Server) writeError(w http.ResponseWriter, status int, format string, ar
 	s.writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// decode parses the body into v, mapping oversized bodies to 413 and
-// malformed JSON to 400. It reports whether decoding succeeded.
+// decode parses the body into v through DecodeJSON, writing the error
+// reply on failure. It reports whether decoding succeeded.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
+	status, err := DecodeJSON(r.Body, v)
+	if err != nil {
+		s.writeError(w, status, "%v", err)
+	}
+	return err == nil
+}
+
+// DecodeJSON decodes one JSON request body into v, rejecting unknown
+// fields. On failure it returns the status to answer (413 when the body
+// overran its http.MaxBytesReader cap, 400 otherwise) and the error
+// text. Every JSON endpoint of the /v1/ dialect decodes through it.
+func DecodeJSON(body io.Reader, v any) (int, error) {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooLarge.Limit)
-			return false
+			return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit)
 		}
-		s.writeError(w, http.StatusBadRequest, "invalid request: %v", err)
-		return false
+		return http.StatusBadRequest, fmt.Errorf("invalid request: %w", err)
 	}
-	return true
+	return http.StatusOK, nil
+}
+
+// WriteJSONError writes a compact {"error": ...} reply for the
+// handlers outside Server (campaign, shard).
+func WriteJSONError(w http.ResponseWriter, status int, format string, args ...any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // ParseMethod maps the API wire spelling to a core.Method ("" =
@@ -460,6 +491,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		if item.Cores != nil {
 			spec.Cores = *item.Cores
 		}
+		if err := checkCores(spec.Cores); err != nil {
+			results[i].Error = err.Error()
+			continue
+		}
 		if item.FinalNPR != nil {
 			spec.FinalNPR = *item.FinalNPR
 		}
@@ -540,6 +575,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Cores == 0 {
 		req.Cores = 4
+	}
+	if err := checkCores(req.Cores); err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 	if req.Duration == 0 {
 		req.Duration = 10000

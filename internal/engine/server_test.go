@@ -12,9 +12,11 @@ import (
 	"testing"
 
 	lpdag "repro"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fixture"
 	"repro/internal/obs"
+	"repro/internal/session"
 	"repro/internal/wire"
 )
 
@@ -188,6 +190,88 @@ func TestOversizedBodyRejected(t *testing.T) {
 	w := post(t, h, "/v1/analyze", big)
 	if w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413 (%s)", w.Code, w.Body)
+	}
+}
+
+// TestCoresBounded pins the core-count cap on every path a count
+// arrives by. The analysis and the simulator allocate per core, so an
+// unchecked 1<<62 panicked a worker goroutine and took the process
+// down; the server must refuse it and keep serving.
+func TestCoresBounded(t *testing.T) {
+	h := newTestServer(t, engine.Config{}, engine.ServerConfig{})
+	w := post(t, h, "/v1/sessions", fmt.Sprintf(`{"cores": 2, "taskset": %s}`, binaryAcceptTaskSet))
+	if w.Code != http.StatusCreated {
+		t.Fatalf("create: status %d: %s", w.Code, w.Body)
+	}
+	edits := "/v1/sessions/" + sessionID(t, w) + "/edits"
+	for _, cores := range []int{1 << 62, engine.MaxCores + 1, -1} {
+		for _, tc := range []struct {
+			path, body string
+		}{
+			{"/v1/analyze", fmt.Sprintf(`{"cores": %d, "requests": [{"taskset": %s}]}`, cores, binaryAcceptTaskSet)},
+			{"/v1/analyze", fmt.Sprintf(`{"requests": [{"taskset": %s, "cores": %d}]}`, binaryAcceptTaskSet, cores)},
+			{"/v1/simulate", fmt.Sprintf(`{"cores": %d, "duration": 100, "taskset": %s}`, cores, binaryAcceptTaskSet)},
+			{"/v1/sessions", fmt.Sprintf(`{"cores": %d, "taskset": %s}`, cores, binaryAcceptTaskSet)},
+			{edits, fmt.Sprintf(`{"edits": [{"op": "set_cores", "cores": %d}]}`, cores)},
+		} {
+			w := post(t, h, tc.path, tc.body)
+			if tc.path != "/v1/analyze" {
+				if w.Code != http.StatusBadRequest {
+					t.Errorf("%s cores=%d: status %d, want 400 (%s)", tc.path, cores, w.Code, w.Body)
+				}
+				continue
+			}
+			var resp struct {
+				Results []struct {
+					Error string `json:"error"`
+				} `json:"results"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); w.Code != http.StatusOK || err != nil ||
+				len(resp.Results) != 1 || resp.Results[0].Error == "" {
+				t.Errorf("%s cores=%d: want a per-item error, got status %d: %s", tc.path, cores, w.Code, w.Body)
+			}
+		}
+	}
+	// A peer's hand-off snapshot crosses the same boundary.
+	sess, err := session.New(core.Options{Cores: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := sess.Snapshot("0123456789abcdef", 0)
+	snap.Opts.Cores = 1 << 62
+	payload, err := snap.Append(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := post(t, h, "/v1/sessions/handoff", string(wire.AppendFrame(nil, wire.FrameSnapshot, payload))); w.Code != http.StatusBadRequest {
+		t.Errorf("handoff cores=1<<62: status %d, want 400 (%s)", w.Code, w.Body)
+	}
+	if w := get(t, h, "/healthz"); w.Code != http.StatusOK {
+		t.Fatalf("healthz after oversized cores: status %d", w.Code)
+	}
+}
+
+// TestUnknownFieldsInsideTaskSet pins where the strict decoder stops:
+// a task set is an interchange document other tools write, so unknown
+// keys inside it are ignored, while the request envelope around it
+// rejects them.
+func TestUnknownFieldsInsideTaskSet(t *testing.T) {
+	h := newTestServer(t, engine.Config{}, engine.ServerConfig{})
+	ts := `{"tasks": [{"name": "a", "wcet": [2, 3], "edges": [[0, 1]], "deadline": 50, "period": 50, "note": "x"}], "source": "tool"}`
+	w := post(t, h, "/v1/analyze", fmt.Sprintf(`{"requests": [{"taskset": %s}]}`, ts))
+	var resp struct {
+		Results []struct {
+			Error       string `json:"error"`
+			Schedulable bool   `json:"schedulable"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); w.Code != http.StatusOK || err != nil ||
+		len(resp.Results) != 1 || resp.Results[0].Error != "" || !resp.Results[0].Schedulable {
+		t.Errorf("unknown task fields: status %d: %s", w.Code, w.Body)
+	}
+	w = post(t, h, "/v1/analyze", fmt.Sprintf(`{"requests": [{"taskset": %s, "bogus": 1}]}`, ts))
+	if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), `unknown field \"bogus\"`) {
+		t.Errorf("unknown item field: status %d, want 400: %s", w.Code, w.Body)
 	}
 }
 

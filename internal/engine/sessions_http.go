@@ -93,6 +93,10 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if req.Cores == 0 {
 		req.Cores = 4
 	}
+	if err := checkCores(req.Cores); err != nil {
+		s.writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	opts := core.Options{Cores: req.Cores, FinalNPRRefinement: req.FinalNPR}
 	var err error
 	if opts.Method, err = ParseMethod(req.Method); err != nil {
@@ -213,6 +217,9 @@ func decodeEdit(e sessionEditJSON) (session.Edit, error) {
 		}
 		out.From, out.To = from, *e.To
 	case session.OpSetCores:
+		if err := checkCores(e.Cores); err != nil {
+			return out, err
+		}
 		out.Cores = e.Cores
 	case session.OpSetMethod:
 		m, err := ParseMethod(e.Method)
@@ -529,6 +536,9 @@ func (s *Server) handleSessionHandoff(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		snap, err := session.DecodeSnapshot(payload)
+		if err == nil {
+			err = checkCores(snap.Opts.Cores)
+		}
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, "handoff: %v", err)
 			return

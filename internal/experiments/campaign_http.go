@@ -52,33 +52,31 @@ type CampaignRequest struct {
 func CampaignHandler(eng *engine.Engine) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			httpError(w, http.StatusMethodNotAllowed, "POST only")
+			engine.WriteJSONError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
 		r.Body = http.MaxBytesReader(w, r.Body, MaxCampaignBodyBytes)
 		var req CampaignRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "invalid request: %v", err)
+		if status, err := engine.DecodeJSON(r.Body, &req); err != nil {
+			engine.WriteJSONError(w, status, "%v", err)
 			return
 		}
 		cfg, err := req.Config()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			engine.WriteJSONError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		points, err := cfg.Points()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
+			engine.WriteJSONError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if len(points) > MaxCampaignPoints {
-			httpError(w, http.StatusBadRequest, "%d grid points exceed limit %d", len(points), MaxCampaignPoints)
+			engine.WriteJSONError(w, http.StatusBadRequest, "%d grid points exceed limit %d", len(points), MaxCampaignPoints)
 			return
 		}
 		if analyses := len(points) * cfg.SetsPerPoint * len(cfg.Methods); analyses > MaxCampaignAnalyses {
-			httpError(w, http.StatusBadRequest, "%d analyses exceed limit %d", analyses, MaxCampaignAnalyses)
+			engine.WriteJSONError(w, http.StatusBadRequest, "%d analyses exceed limit %d", analyses, MaxCampaignAnalyses)
 			return
 		}
 
@@ -178,12 +176,6 @@ func (c CampaignConfig) WireRequest() (CampaignRequest, error) {
 		return req, err
 	}
 	return req, nil
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // flushLineWriter flushes the HTTP response after every write, so the

@@ -348,6 +348,41 @@ func TestWorkerHandlerValidation(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyIs413 pins that the campaign and shard endpoints
+// classify a body over MaxCampaignBodyBytes like the engine's /v1/
+// endpoints do: 413 with an {"error": ...} body, not a 400 decode error.
+func TestOversizedBodyIs413(t *testing.T) {
+	eng := engine.New(engine.Config{Workers: 1})
+	t.Cleanup(eng.Close)
+	// Well-formed JSON that only the size cap can reject: one long
+	// scenario name, padded to exactly one byte past the cap.
+	prefix, suffix := `{"campaign": {"scenarios": ["`, `"]}, "points": [0]}`
+	shardBody := prefix + strings.Repeat("x", experiments.MaxCampaignBodyBytes+1-len(prefix)-len(suffix)) + suffix
+	prefix, suffix = `{"scenarios": ["`, `"]}`
+	campaignBody := prefix + strings.Repeat("x", experiments.MaxCampaignBodyBytes+1-len(prefix)-len(suffix)) + suffix
+	for _, tc := range []struct {
+		path, body string
+		h          http.Handler
+	}{
+		{"/v1/campaign", campaignBody, experiments.CampaignHandler(eng)},
+		{"/v1/shard", shardBody, NewWorkerHandler(eng, WorkerConfig{})},
+	} {
+		if len(tc.body) != experiments.MaxCampaignBodyBytes+1 {
+			t.Fatalf("%s: body of %d bytes", tc.path, len(tc.body))
+		}
+		w := httptest.NewRecorder()
+		tc.h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413 (%s)", tc.path, w.Code, w.Body)
+			continue
+		}
+		var reply map[string]string
+		if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil || reply["error"] == "" || len(reply) != 1 {
+			t.Errorf("%s: body is not {\"error\": ...} (%v): %s", tc.path, err, w.Body)
+		}
+	}
+}
+
 // TestWorkerStreamMatchesLocalSubset pins the worker's stream bytes to
 // a local RunCampaignSubset of the same lease, heartbeat lines aside.
 func TestWorkerStreamMatchesLocalSubset(t *testing.T) {

@@ -21,7 +21,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -78,38 +77,36 @@ func NewWorkerHandler(eng *engine.Engine, cfg WorkerConfig) http.Handler {
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			writeJSONError(w, http.StatusMethodNotAllowed, "POST only")
+			engine.WriteJSONError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
 		if cfg.Load != nil && cfg.Load.Draining() {
-			writeJSONError(w, http.StatusServiceUnavailable, "draining")
+			engine.WriteJSONError(w, http.StatusServiceUnavailable, "draining")
 			return
 		}
 		r.Body = http.MaxBytesReader(w, r.Body, experiments.MaxCampaignBodyBytes)
 		var req ShardRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
-			writeJSONError(w, http.StatusBadRequest, "invalid request: %v", err)
+		if status, err := engine.DecodeJSON(r.Body, &req); err != nil {
+			engine.WriteJSONError(w, status, "%v", err)
 			return
 		}
 		campaign, err := req.Campaign.Config()
 		if err != nil {
-			writeJSONError(w, http.StatusBadRequest, "%v", err)
+			engine.WriteJSONError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if len(req.Points) == 0 {
-			writeJSONError(w, http.StatusBadRequest, "empty lease: points must name at least one grid point")
+			engine.WriteJSONError(w, http.StatusBadRequest, "empty lease: points must name at least one grid point")
 			return
 		}
 		if len(req.Points) > cfg.MaxPoints {
-			writeJSONError(w, http.StatusBadRequest, "%d points exceed this worker's lease limit %d", len(req.Points), cfg.MaxPoints)
+			engine.WriteJSONError(w, http.StatusBadRequest, "%d points exceed this worker's lease limit %d", len(req.Points), cfg.MaxPoints)
 			return
 		}
 		// Config returns the normalized campaign, so these are the sets
 		// and methods actually computed, not restated defaults.
 		if analyses := len(req.Points) * campaign.SetsPerPoint * len(campaign.Methods); analyses > experiments.MaxCampaignAnalyses {
-			writeJSONError(w, http.StatusBadRequest, "%d analyses exceed limit %d", analyses, experiments.MaxCampaignAnalyses)
+			engine.WriteJSONError(w, http.StatusBadRequest, "%d analyses exceed limit %d", analyses, experiments.MaxCampaignAnalyses)
 			return
 		}
 
@@ -156,12 +153,6 @@ func NewWorkerHandler(eng *engine.Engine, cfg WorkerConfig) http.Handler {
 			out.Write(append(data, '\n'))
 		}
 	})
-}
-
-func writeJSONError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // heartbeatWriter serialises result writes with periodic keepalives

@@ -243,8 +243,9 @@ func (g *Generator) parallelGraph() *dag.Graph {
 	maxDepth := (g.params.DAG.MaxPathLen - 1) / 2 // nodes on a path of d nestings: 2d+1
 
 	// expand builds a sub-DAG with a unique source and sink and returns
-	// them. remaining path budget is tracked via depth.
-	var expand func(depth int) (src, sink int)
+	// them. remaining path budget is tracked via depth. forkJoin is its
+	// non-terminal case: a fork, up to NPar expanded branches, a join.
+	var expand, forkJoin func(depth int) (src, sink int)
 	expand = func(depth int) (int, int) {
 		terminal := depth >= maxDepth || budget < 1+2*2 || // fork+join+2 branches minimum
 			g.rng.Float64() < g.params.DAG.PTerm/(g.params.DAG.PTerm+g.params.DAG.PPar)
@@ -253,6 +254,9 @@ func (g *Generator) parallelGraph() *dag.Graph {
 			budget--
 			return v, v
 		}
+		return forkJoin(depth)
+	}
+	forkJoin = func(depth int) (int, int) {
 		fork := b.AddNode(g.wcet())
 		join := b.AddNode(g.wcet())
 		budget -= 2
@@ -268,19 +272,8 @@ func (g *Generator) parallelGraph() *dag.Graph {
 		return fork, join
 	}
 	// The root expansion must fork at least once for the task to be
-	// parallel, so bypass the terminal coin at depth 0 when possible.
-	fork := b.AddNode(g.wcet())
-	join := b.AddNode(g.wcet())
-	budget -= 2
-	nBranch := 2 + g.rng.Intn(g.params.DAG.NPar-1)
-	for i := 0; i < nBranch; i++ {
-		if budget < 1 {
-			break
-		}
-		s, t := expand(1)
-		b.AddEdge(fork, s)
-		b.AddEdge(t, join)
-	}
+	// parallel, so bypass the terminal coin at depth 0.
+	forkJoin(0)
 	return b.MustBuild()
 }
 

@@ -49,6 +49,13 @@ func (t *Task) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &tj); err != nil {
 		return err
 	}
+	return t.fromJSON(&tj)
+}
+
+// fromJSON lowers the interchange form onto t: it builds the graph and
+// validates the task. Both decoders share it, so a task set is parsed
+// once and each task lowered once.
+func (t *Task) fromJSON(tj *taskJSON) error {
 	var b dag.Builder
 	for _, c := range tj.WCET {
 		b.AddNode(c)
@@ -78,16 +85,14 @@ func (ts *TaskSet) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON decodes and validates a full task set.
 func (ts *TaskSet) UnmarshalJSON(data []byte) error {
-	var raw struct {
-		Tasks []json.RawMessage `json:"tasks"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
+	var sj taskSetJSON
+	if err := json.Unmarshal(data, &sj); err != nil {
 		return err
 	}
 	ts.Tasks = ts.Tasks[:0]
-	for _, r := range raw.Tasks {
+	for i := range sj.Tasks {
 		t := new(Task)
-		if err := t.UnmarshalJSON(r); err != nil {
+		if err := t.fromJSON(&sj.Tasks[i]); err != nil {
 			return err
 		}
 		ts.Tasks = append(ts.Tasks, t)

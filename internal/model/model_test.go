@@ -182,17 +182,38 @@ func TestJSONSingleNodeNoEdges(t *testing.T) {
 }
 
 func TestJSONRejectsInvalid(t *testing.T) {
-	cases := []string{
-		`{"tasks":[{"name":"x","wcet":[0],"edges":[],"deadline":5,"period":5}]}`,      // zero WCET
-		`{"tasks":[{"name":"x","wcet":[1],"edges":[[0,0]],"deadline":5,"period":5}]}`, // self loop
-		`{"tasks":[{"name":"x","wcet":[1],"edges":[],"deadline":9,"period":5}]}`,      // D > T
-		`{"tasks":[]}`, // empty
-		`{"tasks":[{"name":"x","wcet":[1,1],"edges":[[0,1],[1,0]],"deadline":5,"period":5}]}`, // cycle
+	// Validation texts are part of the /v1 error bodies; a decoder change
+	// must keep them byte-identical.
+	cases := []struct{ src, want string }{
+		{`{"tasks":[{"name":"x","wcet":[0],"edges":[],"deadline":5,"period":5}]}`,
+			`model: task "x": dag: node 0 has non-positive WCET 0`},
+		{`{"tasks":[{"name":"x","wcet":[1],"edges":[[0,0]],"deadline":5,"period":5}]}`,
+			`model: task "x": dag: self-loop on node 0`},
+		{`{"tasks":[{"name":"x","wcet":[1],"edges":[],"deadline":9,"period":5}]}`,
+			`model: task "x" has D 9 > T 5 (constrained deadlines required)`},
+		{`{"tasks":[]}`, `model: empty task set`},
+		{`{"tasks":[{"name":"x","wcet":[1,1],"edges":[[0,1],[1,0]],"deadline":5,"period":5}]}`,
+			`model: task "x": dag: cycle detected`},
+		{`{"tasks":[null]}`, `model: task "": dag: graph must have at least one node`},
+		{`{"tasks":[{"name":"x","wcet":[1],"edges":[[0,5]],"deadline":5,"period":5}]}`,
+			`model: task "x": dag: edge (0,5) out of range [0,1)`},
+		{`{"tasks":[{"name":"x","wcet":[1],"edges":[],"deadline":0,"period":5}]}`,
+			`model: task "x" has non-positive deadline 0`},
+		// Type errors name the nested field path and win over validation
+		// errors of earlier tasks: the whole set is decoded before any
+		// task is lowered.
+		{`{"tasks":[{"name":"x","wcet":[0],"edges":[],"deadline":5,"period":5},{"name":"y","wcet":["a"]}]}`,
+			`json: cannot unmarshal string into Go struct field taskJSON.tasks.wcet of type int64`},
 	}
-	for i, src := range cases {
+	for i, c := range cases {
 		ts := new(TaskSet)
-		if err := ts.UnmarshalJSON([]byte(src)); err == nil {
+		err := ts.UnmarshalJSON([]byte(c.src))
+		if err == nil {
 			t.Errorf("case %d: invalid JSON accepted", i)
+			continue
+		}
+		if err.Error() != c.want {
+			t.Errorf("case %d: error %q, want %q", i, err, c.want)
 		}
 	}
 }

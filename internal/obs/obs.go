@@ -30,6 +30,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -210,10 +211,10 @@ func (r *Registry) lookup(name, help string, typ metricType, buckets []float64, 
 		if f.help != help {
 			panic(fmt.Sprintf("obs: metric %s redefined with different help", name))
 		}
-		if !equalStrings(f.labelKeys, keys) {
+		if !slices.Equal(f.labelKeys, keys) {
 			panic(fmt.Sprintf("obs: metric %s redefined with label keys %v (was %v)", name, keys, f.labelKeys))
 		}
-		if typ == typeHistogram && !equalFloats(f.buckets, buckets) {
+		if typ == typeHistogram && !slices.Equal(f.buckets, buckets) {
 			panic(fmt.Sprintf("obs: histogram %s redefined with different buckets", name))
 		}
 	}
@@ -413,30 +414,6 @@ func validName(s string) bool {
 				return false
 			}
 		default:
-			return false
-		}
-	}
-	return true
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}
